@@ -58,12 +58,7 @@ from repro.index.split import (
     MinMarginSplitPolicy,
     WeightedSplitPolicy,
 )
-from repro.kernels import (
-    RecordBatch,
-    kernels_enabled,
-    scoped_kernels,
-    set_kernels_enabled,
-)
+from repro.kernels import RecordBatch
 from repro.metrics.certainty import certainty_penalty
 from repro.metrics.discernibility import discernibility_penalty
 from repro.metrics.kl import kl_divergence
@@ -129,7 +124,6 @@ __all__ = [
     "hierarchical_release",
     "intersection_attack",
     "is_k_anonymous",
-    "kernels_enabled",
     "kl_divergence",
     "leaf_scan",
     "linkage_attack",
@@ -140,8 +134,6 @@ __all__ = [
     "quality_report",
     "random_range_workload",
     "read_release_csv",
-    "scoped_kernels",
-    "set_kernels_enabled",
     "single_attribute_workload",
     "verify_k_bound",
     "verify_release",

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from repro.core.leafscan import Constraint, leaf_scan, subtree_scan
 from repro.core.partition import AnonymizedTable, Partition
 from repro.dataset.record import Record
@@ -38,6 +40,7 @@ from repro.index.rtree import (
     RPlusTree,
 )
 from repro.index.split import SplitPolicy
+from repro.kernels.boxes import group_mbrs
 from repro.obs import AUDITOR, OBS, TRACE
 from repro.storage.buffer_pool import BufferPool
 
@@ -46,7 +49,7 @@ DEFAULT_BASE_K = 5
 
 
 def build_compacted_partitions(
-    groups: Sequence[Sequence[Record]], use_kernels: bool | None = None
+    groups: Sequence[Sequence[Record]],
 ) -> list[Partition]:
     """Each record group as a partition under its minimum bounding box.
 
@@ -54,40 +57,28 @@ def build_compacted_partitions(
     :meth:`RTreeAnonymizer._emit_release` and the sharded serving
     cluster's seam assembly (:mod:`repro.cluster.seams`) build their
     partitions here, so a cluster release and a single-writer release
-    over the same groups are the same objects box for box.  With kernels
-    on, one ``reduceat`` pair over all groups' points replaces the
-    per-group per-record Python MBR folds; the resulting boxes are
-    bit-identical on integer-coded data (see :mod:`repro.kernels.boxes`
-    on signed zeros).
+    over the same groups are the same objects box for box.  One
+    ``reduceat`` pair over all groups' points computes every MBR; the
+    boxes are bit-identical to per-group :meth:`Box.from_points` folds on
+    integer-coded data (see :mod:`repro.kernels.boxes` on signed zeros).
     """
-    from repro.kernels.config import kernels_enabled
-
-    if kernels_enabled(use_kernels) and groups:
-        import numpy as np
-
-        from repro.kernels.boxes import group_mbrs
-
-        starts: list[int] = []
-        offset = 0
-        for group in groups:
-            starts.append(offset)
-            offset += len(group)
-        flat = np.array(
-            [r.point for group in groups for r in group],
-            dtype=np.float64,
-        )
-        boxes = group_mbrs(flat, starts)
-        if OBS.enabled:
-            OBS.count("kernels.group_mbrs", len(boxes))
-        return [
-            Partition.trusted(tuple(group), box)
-            for group, box in zip(groups, boxes)
-        ]
+    if not groups:
+        return []
+    starts: list[int] = []
+    offset = 0
+    for group in groups:
+        starts.append(offset)
+        offset += len(group)
+    flat = np.array(
+        [r.point for group in groups for r in group],
+        dtype=np.float64,
+    )
+    boxes = group_mbrs(flat, starts)
+    if OBS.enabled:
+        OBS.count("kernels.group_mbrs", len(boxes))
     return [
-        Partition.trusted(
-            tuple(group), Box.from_points(r.point for r in group)
-        )
-        for group in groups
+        Partition.trusted(tuple(group), box)
+        for group, box in zip(groups, boxes)
     ]
 
 
@@ -244,7 +235,6 @@ class RTreeAnonymizer:
         batch_size: int = 8_192,
         first_rid: int = 0,
         workers: int | None = None,
-        use_kernels: bool | None = None,
     ) -> int:
         """Bulk-anonymize straight from a binary record file (§5.2).
 
@@ -280,14 +270,9 @@ class RTreeAnonymizer:
             workers=workers or 0,
         ):
             if workers is None:
-                from repro.kernels.config import kernels_enabled
-
-                if kernels_enabled(use_kernels):
-                    stream: Iterable[Record] = _kernel_record_stream(
-                        reader, batch_size, first_rid
-                    )
-                else:
-                    stream = reader.iter_records(batch_size, first_rid=first_rid)
+                stream: Iterable[Record] = _kernel_record_stream(
+                    reader, batch_size, first_rid
+                )
             else:
                 from repro.parallel import scan_file_shards, shard_record_stream
 
@@ -298,7 +283,6 @@ class RTreeAnonymizer:
                     workers=workers,
                     batch_size=batch_size,
                     first_rid=first_rid,
-                    use_kernels=use_kernels,
                 )
                 stream = shard_record_stream(scan.runs)
             if self._durability is None:
@@ -392,7 +376,6 @@ class RTreeAnonymizer:
         compacted: bool = True,
         constraint: Constraint | None = None,
         strategy: str = "subtree",
-        use_kernels: bool | None = None,
     ) -> AnonymizedTable:
         """Emit a k-anonymous release at granularity ``k`` (leaf scan, §3.2).
 
@@ -433,9 +416,7 @@ class RTreeAnonymizer:
         with OBS.span("anonymizer.anonymize"), TRACE.span(
             "anonymizer.release", "anonymizer", k=k, strategy=strategy
         ):
-            return self._emit_release(
-                k, compacted, constraint, strategy, use_kernels
-            )
+            return self._emit_release(k, compacted, constraint, strategy)
 
     def _emit_release(
         self,
@@ -443,7 +424,6 @@ class RTreeAnonymizer:
         compacted: bool,
         constraint: Constraint | None,
         strategy: str,
-        use_kernels: bool | None = None,
     ) -> AnonymizedTable:
         leaves = self._tree.leaves()
         if strategy == "subtree":
@@ -479,13 +459,12 @@ class RTreeAnonymizer:
                 records,
                 self._schema.domain_lows(),
                 self._schema.domain_highs(),
-                use_kernels=use_kernels,
             )
             groups = chunk_with_floor(ordered, k)
         else:
             raise ValueError(f"unknown grouping strategy {strategy!r}")
         if compacted:
-            partitions = build_compacted_partitions(groups, use_kernels)
+            partitions = build_compacted_partitions(groups)
         else:
             regions = self.leaf_regions()
             partitions = []

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.dataset.record import Record
+from repro.kernels.split import candidate_thresholds_batch
 
 
 @dataclass(frozen=True)
@@ -44,7 +45,7 @@ class SplitDecision:
 
 
 def best_threshold(
-    values: Sequence[float], min_count: int, use_kernels: bool | None = None
+    values: Sequence[float], min_count: int
 ) -> tuple[float, int] | None:
     """The most balanced legal threshold along one dimension.
 
@@ -54,12 +55,12 @@ def best_threshold(
     ``(threshold, left_count)`` or ``None`` when no boundary qualifies
     (single distinct value, or duplicates too concentrated).
     """
-    candidates = candidate_thresholds(values, min_count, use_kernels)
+    candidates = candidate_thresholds(values, min_count)
     return candidates[0] if candidates else None
 
 
 def candidate_thresholds(
-    values: Sequence[float], min_count: int, use_kernels: bool | None = None
+    values: Sequence[float], min_count: int
 ) -> list[tuple[float, int]]:
     """Promising legal thresholds along one dimension.
 
@@ -74,58 +75,11 @@ def candidate_thresholds(
     Each is returned as ``(threshold, left_count)`` and is legal: at least
     ``min_count`` values on both sides.  Empty when no boundary is legal.
 
-    With kernels on (the default) the sweep runs vectorized over the
-    sorted array's distinct-value runs; :func:`candidate_thresholds_scalar`
-    is the linear-sweep oracle it is proven identical to.
+    The sweep runs vectorized over the sorted array's distinct-value runs
+    (:func:`repro.kernels.split.candidate_thresholds_batch`); the tests
+    hold it to a linear-sweep scalar oracle.
     """
-    from repro.kernels.config import kernels_enabled
-
-    if kernels_enabled(use_kernels):
-        from repro.kernels.split import candidate_thresholds_batch
-
-        return candidate_thresholds_batch(values, min_count)
-    return candidate_thresholds_scalar(values, min_count)
-
-
-def candidate_thresholds_scalar(
-    values: Sequence[float], min_count: int
-) -> list[tuple[float, int]]:
-    """The original linear sweep — the kernel's differential oracle."""
-    total = len(values)
-    if total < 2 * min_count:
-        return []
-    ordered = sorted(values)
-    target = total / 2.0
-    balanced: tuple[float, int] | None = None
-    balanced_distance = float("inf")
-    widest: tuple[float, int] | None = None
-    widest_gap = -1.0
-    index = 0
-    while index < total:
-        value = ordered[index]
-        # Advance to the last occurrence of this distinct value.
-        while index + 1 < total and ordered[index + 1] == value:
-            index += 1
-        left_count = index + 1
-        right_count = total - left_count
-        if right_count == 0:
-            break
-        if left_count >= min_count and right_count >= min_count:
-            distance = abs(left_count - target)
-            if distance < balanced_distance:
-                balanced_distance = distance
-                balanced = (value, left_count)
-            gap = ordered[index + 1] - value
-            if gap > widest_gap:
-                widest_gap = gap
-                widest = (value, left_count)
-        index += 1
-    candidates: list[tuple[float, int]] = []
-    if balanced is not None:
-        candidates.append(balanced)
-    if widest is not None and widest != balanced:
-        candidates.append(widest)
-    return candidates
+    return candidate_thresholds_batch(values, min_count)
 
 
 def partition_records(

@@ -1,14 +1,12 @@
 """Numpy-backed columnar kernels for the anonymizer's hot paths.
 
-Every kernel here has a scalar twin elsewhere in the tree — the original
-pure-Python code, which stays in place as the *differential oracle*: the
-property suite proves element-wise equality, and the differential grid
-proves whole-pipeline releases are bit-identical with kernels on or off.
-
-The ``use_kernels`` flag (default on, ``REPRO_KERNELS=0`` or the CLI's
-``--no-kernels`` to disable) selects the path at the call sites; see
-``docs/KERNELS.md`` for the layout, the oracle-testing pattern, and the
-checklist for adding a kernel.
+Each hot loop has one implementation, the kernel here.  Its scalar twin
+is a *differential oracle* kept with the tests (``tests/oracles``, or the
+original pure-Python code where ``src`` still uses it): the property suite
+proves element-wise equality, and the differential grid proves
+whole-pipeline releases are bit-identical with the oracles swapped in.
+See ``docs/KERNELS.md`` for the layout, the oracle-testing pattern, and
+the checklist for adding a kernel.
 """
 
 from repro.kernels.batch import RecordBatch
@@ -29,11 +27,6 @@ from repro.kernels.codec import (
     decode_points,
     encode_points,
     points_to_tuples,
-)
-from repro.kernels.config import (
-    kernels_enabled,
-    scoped_kernels,
-    set_kernels_enabled,
 )
 from repro.kernels.hilbert import (
     hilbert_keys,
@@ -59,13 +52,10 @@ __all__ = [
     "hilbert_keys_for_points",
     "intersect_masks",
     "intersections",
-    "kernels_enabled",
     "margins",
     "mbr_of_points",
     "points_to_tuples",
     "quantize_batch",
-    "scoped_kernels",
-    "set_kernels_enabled",
     "union_all_boxes",
     "union_arrays",
     "volumes",

@@ -1,6 +1,6 @@
 """Vectorized split-threshold selection via cumulative run statistics.
 
-The scalar oracle is ``repro.index.split.candidate_thresholds``: one linear
+The scalar oracle (``tests/oracles``) is one linear
 sweep over the sorted values that tracks the most balanced legal boundary
 (first strict improvement wins) and the widest-gap boundary (likewise).
 This kernel computes the same two winners from the sorted array's distinct
@@ -26,8 +26,8 @@ def candidate_thresholds_batch(
 ) -> list[tuple[float, int]]:
     """Promising legal thresholds along one dimension, vectorized.
 
-    Same contract and same results as the scalar
-    ``repro.index.split.candidate_thresholds``.
+    The implementation behind :func:`repro.index.split.candidate_thresholds`;
+    same results as the scalar linear sweep the tests keep as its oracle.
     """
     data = np.asarray(values, dtype=np.float64)
     total = int(data.size)

@@ -263,6 +263,8 @@ class _Span:
     ``with OBS.span("bulk_load"): ... with OBS.span("drain"): ...``
     accumulates under ``"bulk_load"`` and ``"bulk_load/drain"``, so the
     snapshot exposes both the inclusive parent time and the child's share.
+    Nesting is tracked per thread: concurrent threads never see each
+    other's open spans.
     """
 
     __slots__ = ("_registry", "_name", "_path", "_start")
@@ -274,20 +276,19 @@ class _Span:
         self._start = 0.0
 
     def __enter__(self) -> "_Span":
-        registry = self._registry
-        with registry._lock:
-            stack = registry._span_stack
-            stack.append(self._name)
-            self._path = "/".join(stack)
+        stack = self._registry._thread_stack()
+        stack.append(self._name)
+        self._path = "/".join(stack)
         self._start = time.perf_counter()
         return self
 
     def __exit__(self, *exc_info: object) -> None:
         elapsed = time.perf_counter() - self._start
         registry = self._registry
+        stack = registry._thread_stack()
+        if stack and stack[-1] == self._name:
+            stack.pop()
         with registry._lock:
-            if registry._span_stack and registry._span_stack[-1] == self._name:
-                registry._span_stack.pop()
             aggregate = registry._spans.get(self._path)
             if aggregate is None:
                 aggregate = registry._spans[self._path] = _SpanAggregate()
@@ -373,7 +374,7 @@ class MetricsRegistry:
         "_gauges",
         "_histograms",
         "_spans",
-        "_span_stack",
+        "_span_stacks",
         "_declared",
         "_tracer",
     )
@@ -385,9 +386,18 @@ class MetricsRegistry:
         self._gauges: dict[str, float] = {}
         self._histograms: dict[str, Histogram] = {}
         self._spans: dict[str, _SpanAggregate] = {}
-        self._span_stack: list[str] = []
+        self._span_stacks = threading.local()
         self._declared: set[str] = set()
         self._tracer: "Tracer | None" = None
+
+    def _thread_stack(self) -> list[str]:
+        """The calling thread's open span names, outermost first."""
+        stacks = self._span_stacks
+        try:
+            return stacks.names
+        except AttributeError:
+            stacks.names = []
+            return stacks.names
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -414,7 +424,7 @@ class MetricsRegistry:
             self._gauges.clear()
             self._histograms.clear()
             self._spans.clear()
-            self._span_stack.clear()
+            self._span_stacks = threading.local()
             self._declared.clear()
 
     def declare(

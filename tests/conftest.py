@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
+from contextlib import AbstractContextManager, contextmanager
+from typing import Callable, Iterator
 
 import pytest
 
@@ -50,3 +53,21 @@ def small_table(schema3: Schema) -> Table:
 def medium_table(schema3: Schema) -> Table:
     """2,000 random records over the three-attribute schema."""
     return Table(schema3, random_records(2_000, seed=2))
+
+
+@pytest.fixture
+def scalar_oracles() -> Callable[[], AbstractContextManager[Counter]]:
+    """Swap ``repro``'s kernels for their scalar twins (``tests/oracles``).
+
+    ``with scalar_oracles() as calls:`` runs the block on the twins and
+    restores the kernels on exit; ``calls`` counts the twin calls made in
+    this process, so a test can prove the swap reached its code.
+    """
+    from tests.oracles import install
+
+    @contextmanager
+    def swapped() -> Iterator[Counter]:
+        with pytest.MonkeyPatch.context() as patch:
+            yield install(patch)
+
+    return swapped

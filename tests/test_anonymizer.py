@@ -199,21 +199,19 @@ class TestFileLoading:
         path = tmp_path / "short.rec"
         write_table(table, path)
 
-        real_iter = io_module.RecordFileReader.iter_records
+        real_iter = io_module.RecordFileReader.iter_point_batches
 
-        def short_iter(self, batch_size=8192, first_rid=0):  # noqa: ANN001
-            for index, record in enumerate(
-                real_iter(self, batch_size, first_rid=first_rid)
-            ):
-                if index >= 120:
+        def short_iter(self, batch_size=8192, start=0, count=None):  # noqa: ANN001
+            for position, points in real_iter(self, 50, start, count):
+                if position >= 120:
                     return
-                yield record
+                yield position, points[: 120 - position]
 
-        monkeypatch.setattr(io_module.RecordFileReader, "iter_records", short_iter)
+        monkeypatch.setattr(
+            io_module.RecordFileReader, "iter_point_batches", short_iter
+        )
         anonymizer = RTreeAnonymizer(table, base_k=5)
-        # The stub replaces the scalar iterator, so pin the scalar path —
-        # the kernel stream decodes pages directly and would bypass it.
-        consumed = anonymizer.bulk_load_file(str(path), use_kernels=False)
+        consumed = anonymizer.bulk_load_file(str(path))
         assert consumed == 120
         assert len(anonymizer) == 120
 

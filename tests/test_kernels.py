@@ -1,7 +1,9 @@
 """Property tests for the columnar kernels against their scalar oracles.
 
 Every kernel in :mod:`repro.kernels` claims *bit-identity* with a scalar
-code path that predates it.  This suite makes that claim falsifiable:
+twin (:mod:`tests.oracles`, or scalar code ``repro`` still calls, such as
+:mod:`repro.index.hilbert` and :meth:`Box.from_points`).  This suite makes
+that claim falsifiable:
 hypothesis drives each kernel and its oracle over the same inputs and the
 assertions demand exact equality — floats compare with ``==`` (and
 ``repr`` where the sign of zero matters), byte strings byte-for-byte, and
@@ -25,17 +27,8 @@ from hypothesis import strategies as st
 from repro.dataset.record import Record
 from repro.geometry.box import Box, union_all
 from repro.index.hilbert import hilbert_key, quantize
-from repro.index.split import (
-    MidpointSplitPolicy,
-    candidate_thresholds,
-    candidate_thresholds_scalar,
-)
-from repro.kernels import (
-    RecordBatch,
-    kernels_enabled,
-    scoped_kernels,
-    set_kernels_enabled,
-)
+from repro.index.split import MidpointSplitPolicy, candidate_thresholds
+from repro.kernels import RecordBatch
 from repro.kernels.boxes import (
     array_to_boxes,
     boxes_to_array,
@@ -55,6 +48,7 @@ from repro.kernels.hilbert import (
     quantize_batch,
 )
 from repro.kernels.split import best_threshold_batch, candidate_thresholds_batch
+from tests import oracles
 
 # -- strategies ---------------------------------------------------------------
 
@@ -194,10 +188,9 @@ class TestQuantize:
         lows = [-1000.0] * dims
         highs = [1000.0] * dims
         keys = hilbert_keys_for_points(points, lows, highs, bits).tolist()
-        assert keys == [
-            hilbert_key(quantize(row, lows, highs, bits), bits)
-            for row in points.tolist()
-        ]
+        assert keys == oracles.hilbert_keys_for_points(
+            points, lows, highs, bits
+        ).tolist()
 
 
 # -- MBR arithmetic -----------------------------------------------------------
@@ -247,12 +240,8 @@ class TestBoxKernels:
     def test_group_mbrs_equal_per_group_folds(self, points, cuts) -> None:
         total = points.shape[0]
         starts = sorted({0, *(cut for cut in cuts if cut < total)})
-        bounds = starts + [total]
         kernel = group_mbrs(points, starts)
-        oracle = [
-            Box.from_points(points[left:right].tolist())
-            for left, right in zip(bounds, bounds[1:])
-        ]
+        oracle = oracles.group_mbrs(points, starts)
         assert [repr(box) for box in kernel] == [repr(box) for box in oracle]
 
     def test_group_mbrs_validates_offsets(self) -> None:
@@ -340,11 +329,7 @@ class TestCodec:
     def test_decode_matches_struct_iter_unpack(self, points) -> None:
         dims = points.shape[1]
         chunk = encode_points(points)
-        packer = struct.Struct(f"<{dims}i")
-        expected = [
-            tuple(float(value) for value in values)
-            for values in packer.iter_unpack(chunk)
-        ]
+        expected = points_to_tuples(oracles.decode_points(chunk, dims))
         decoded = decode_points(chunk, dims)
         assert points_to_tuples(decoded) == expected
         assert decoded.tolist() == points.tolist()  # int32 -> float64 is exact
@@ -396,13 +381,13 @@ class TestThresholdKernel:
     @given(tie_heavy, st.integers(1, 6))
     def test_batch_equals_scalar_sweep(self, values, min_count: int) -> None:
         assert candidate_thresholds_batch(values, min_count) == (
-            candidate_thresholds_scalar(values, min_count)
+            oracles.candidate_thresholds_batch(values, min_count)
         )
 
     @given(st.lists(finite, min_size=0, max_size=40), st.integers(1, 6))
     def test_batch_equals_scalar_sweep_on_floats(self, values, min_count) -> None:
         assert candidate_thresholds_batch(values, min_count) == (
-            candidate_thresholds_scalar(values, min_count)
+            oracles.candidate_thresholds_batch(values, min_count)
         )
 
     def test_empty_single_and_uniform_inputs(self) -> None:
@@ -411,11 +396,15 @@ class TestThresholdKernel:
         assert candidate_thresholds_batch([7.0] * 10, 1) == []
         assert best_threshold_batch([5.0, 5.0], 1) is None
 
-    def test_dispatch_agrees_across_the_flag(self) -> None:
+    def test_dispatch_agrees_across_the_flag(self, scalar_oracles) -> None:
+        """``candidate_thresholds`` dispatches to the kernel, and swapping
+        the oracle in behind it changes nothing."""
         values = [1.0, 1.0, 2.0, 3.0, 50.0, 51.0]
-        assert candidate_thresholds(values, 1, use_kernels=True) == (
-            candidate_thresholds(values, 1, use_kernels=False)
-        )
+        fast = candidate_thresholds(values, 1)
+        with scalar_oracles() as calls:
+            slow = candidate_thresholds(values, 1)
+        assert calls["candidate_thresholds_batch"] == 1
+        assert fast == slow == [(2.0, 3), (3.0, 4)]
 
 
 class TestMidpointEmptyGuard:
@@ -467,29 +456,3 @@ class TestRecordBatch:
             RecordBatch(np.zeros((3, 2)), np.zeros(2, dtype=np.int64))
         with pytest.raises(ValueError, match="must be"):
             RecordBatch(np.zeros(3), np.zeros(3, dtype=np.int64))
-
-
-# -- the enablement flag ------------------------------------------------------
-
-
-class TestKernelFlag:
-    def test_override_beats_process_default(self) -> None:
-        assert kernels_enabled(True) is True
-        assert kernels_enabled(False) is False
-
-    def test_scoped_toggle_restores(self) -> None:
-        before = kernels_enabled()
-        with scoped_kernels(not before):
-            assert kernels_enabled() is (not before)
-            with scoped_kernels(before):
-                assert kernels_enabled() is before
-            assert kernels_enabled() is (not before)
-        assert kernels_enabled() is before
-
-    def test_set_kernels_enabled_returns_previous(self) -> None:
-        before = set_kernels_enabled(False)
-        try:
-            assert kernels_enabled() is False
-        finally:
-            set_kernels_enabled(before)
-        assert kernels_enabled() is before

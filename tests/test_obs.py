@@ -292,10 +292,42 @@ class TestRegistryThreadSafety:
             worker.join()
         spans = registry.snapshot()["spans"]
         total = threads * per_thread
-        # Interleaved stacks may produce mixed paths, but no event is lost:
-        # every outer and inner exit lands in exactly one path aggregate.
-        assert sum(a["count"] for p, a in spans.items() if p.split("/")[-1] == "outer") == total
-        assert sum(a["count"] for p, a in spans.items() if p.split("/")[-1] == "inner") == total
+        # Span stacks are per thread: no event is lost and no path mixes
+        # another thread's open spans into its own.
+        assert set(spans) == {"outer", "outer/inner"}
+        assert spans["outer"]["count"] == total
+        assert spans["outer/inner"]["count"] == total
+
+    def test_nested_spans_on_two_threads_keep_their_own_paths(self) -> None:
+        """Two threads nest spans in lock step; each sees only its own stack."""
+        registry = MetricsRegistry()
+        registry.enable(declare_defaults=False)
+        depth = 20
+        step = threading.Barrier(2)
+
+        def nest(tag: str, level: int = 0) -> None:
+            if level == depth:
+                return
+            with registry.span(tag):
+                step.wait()  # both threads are now inside this level
+                nest(tag, level + 1)
+                step.wait()  # ...and both leave it together
+
+        workers = [threading.Thread(target=nest, args=(tag,)) for tag in "ab"]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join()
+        with registry.span("main"):
+            pass
+        spans = registry.snapshot()["spans"]
+        expected = {
+            "/".join([tag] * level)
+            for tag in "ab"
+            for level in range(1, depth + 1)
+        }
+        assert set(spans) == expected | {"main"}
+        assert all(aggregate["count"] == 1 for aggregate in spans.values())
 
 
 class TestRenderEdgeCases:
