@@ -51,6 +51,8 @@ KEY_COUNTERS: tuple[str, ...] = (
     "rtree.inserts",
     "rtree.leaf_splits",
     "rtree.internal_splits",
+    # Leaves finish_bulk examines: the over-full ones, not every leaf.
+    "rtree.finish_bulk_leaves",
     "buffer_tree.flushes",
     "buffer_tree.pushed_records",
     "page.reads",

@@ -153,8 +153,7 @@ def restore_tree(
     root_doc = doc.get("root")
     if root_doc is not None:
         root = _doc_to_node(root_doc)  # type: ignore[arg-type]
-        tree._root = root
-        tree._count = root.record_count()
+        tree.adopt_root(root)
     if len(tree) != int(doc["count"]):  # type: ignore[arg-type]
         raise ValueError(
             f"snapshot claims {doc['count']} records, topology holds {len(tree)}"

@@ -118,6 +118,11 @@ class RPlusTree:
         self._root: Node | None = None
         self._count = 0
         self._split_trigger = self._leaf_capacity
+        #: Holds every leaf above ``leaf_capacity`` (deferred by bulk mode or
+        #: refused a legal cut), keyed by node id.  Leaves register as they
+        #: grow and drop out when split, dissolved, or found back under
+        #: capacity by :meth:`finish_bulk`, which visits only these.
+        self._overfull: dict[int, LeafNode] = {}
 
     # -- basic accessors -----------------------------------------------------
 
@@ -159,6 +164,20 @@ class RPlusTree:
         self._store = store
         for leaf in self.iter_leaves():
             store.on_create(leaf)
+
+    def adopt_root(self, root: Node) -> None:
+        """Install a parentless prebuilt topology (snapshot restore).
+
+        Over-capacity leaves (split refusals the snapshot kept) are
+        registered, so :meth:`finish_bulk` retries them as usual.
+        """
+        self._root = root
+        self._count = root.record_count()
+        self._overfull = {
+            leaf.node_id: leaf
+            for leaf in self.iter_leaves()
+            if len(leaf.records) > self._leaf_capacity
+        }
 
     @property
     def height(self) -> int:
@@ -205,8 +224,7 @@ class RPlusTree:
         self._store.on_append(leaf, record)
         self._count += 1
         self._grow_mbrs(leaf, record.point)
-        if len(leaf.records) > self._split_trigger:
-            self._split_leaf(leaf)
+        self._after_grow(leaf)
 
     def insert_all(self, records: Iterable[Record]) -> None:
         """Insert records one by one (the paper's "tuple-loading" baseline)."""
@@ -230,12 +248,26 @@ class RPlusTree:
         self._split_trigger = max(trigger, self._leaf_capacity)
 
     def finish_bulk(self) -> None:
-        """Leave bulk mode: split every over-capacity leaf down to size."""
+        """Leave bulk mode: split every over-capacity leaf down to size.
+
+        Only registered leaves can be over capacity, so the cost is their
+        root paths rather than a walk of every leaf.  They are split in
+        left-to-right leaf order, the order a full walk meets them in, so
+        splits, node ids and leaf-store page traffic keep that sequence.
+        """
         self._split_trigger = self._leaf_capacity
         with TRACE.span("rtree.finish_bulk", "index"):
-            for leaf in list(self.iter_leaves()):
-                if len(leaf.records) > self._leaf_capacity:
-                    self._split_leaf(leaf)
+            if OBS.enabled:
+                OBS.count("rtree.finish_bulk_leaves", len(self._overfull))
+            pending = [
+                leaf
+                for leaf in self._overfull.values()
+                if len(leaf.records) > self._leaf_capacity
+            ]
+            self._overfull = {leaf.node_id: leaf for leaf in pending}
+            pending.sort(key=_leaf_path)
+            for leaf in pending:
+                self._split_leaf(leaf)
 
     @property
     def in_bulk_mode(self) -> bool:
@@ -273,8 +305,14 @@ class RPlusTree:
             self._store.on_append(leaf, record)
         self._count += len(records)
         self._grow_mbrs_box(leaf, Box.from_points(r.point for r in records))
-        if len(leaf.records) > self._split_trigger:
-            self._split_leaf(leaf)
+        self._after_grow(leaf)
+
+    def _after_grow(self, leaf: LeafNode) -> None:
+        """Register a leaf that grew past capacity; split it past the trigger."""
+        if len(leaf.records) > self._leaf_capacity:
+            self._overfull[leaf.node_id] = leaf
+            if len(leaf.records) > self._split_trigger:
+                self._split_leaf(leaf)
 
     def _grow_mbrs(self, leaf: LeafNode, point: Sequence[float]) -> None:
         node: Node | None = leaf
@@ -335,12 +373,11 @@ class RPlusTree:
         self._store.on_split(leaf, left, right)
         cut = make_cut(decision.dimension, decision.value, left, right)
         self._replace_with_cut(leaf, cut, left, right)
+        self._overfull.pop(leaf.node_id, None)
         # Bulk insertion can leave a leaf far above capacity; keep splitting
         # until every piece fits (or no legal cut remains).
-        if len(left.records) > self._split_trigger:
-            self._split_leaf(left)
-        if len(right.records) > self._split_trigger:
-            self._split_leaf(right)
+        self._after_grow(left)
+        self._after_grow(right)
 
     def _split_internal(self, node: InternalNode) -> None:
         if OBS.enabled:
@@ -445,10 +482,10 @@ class RPlusTree:
         """Put records back into the tree without any fallible machinery.
 
         The underflow-recovery path: routes each record to its leaf and
-        appends in memory only — no split (a leaf left over-capacity is
-        privacy-safe; only the k-floor matters) and best-effort store
-        mirroring (the paged store is a metering layer and may be the very
-        thing that failed).
+        appends in memory, then registers over-full leaves; the split and
+        the store mirroring are best-effort (a leaf left over-capacity is
+        privacy-safe; only the k-floor matters, and the paged store is a
+        metering layer that may be the very thing that failed).
         """
         touched: dict[int, LeafNode] = {}
         for record in records:
@@ -467,11 +504,10 @@ class RPlusTree:
             except Exception:
                 pass  # metering only; the in-memory tree stays authoritative
         for leaf in touched.values():
-            if len(leaf.records) > self._split_trigger:
-                try:
-                    self._split_leaf(leaf)
-                except Exception:
-                    pass  # over-full is privacy-safe; splitting is optional here
+            try:
+                self._after_grow(leaf)
+            except Exception:
+                pass  # over-full is privacy-safe; splitting is optional here
 
     def _shrink_mbrs(self, leaf: LeafNode) -> None:
         leaf.recompute_mbr()
@@ -486,6 +522,7 @@ class RPlusTree:
 
     def _dissolve_leaf(self, leaf: LeafNode) -> None:
         self._store.on_dissolve(leaf)
+        self._overfull.pop(leaf.node_id, None)
         node: Node = leaf
         parent = node.parent
         # Unwind any single-child chain above the disappearing leaf.
@@ -605,16 +642,19 @@ class RPlusTree:
         return list(self.iter_leaves())
 
     def iter_leaves(self) -> Iterator[LeafNode]:
+        """Leaves left to right, walked with one explicit stack of nodes and cuts."""
         if self._root is None:
             return
-        yield from self._iter_leaves(self._root)
-
-    def _iter_leaves(self, node: Node) -> Iterator[LeafNode]:
-        if node.is_leaf:
-            yield node  # type: ignore[misc]
-            return
-        for child in node.children():  # type: ignore[union-attr]
-            yield from self._iter_leaves(child)
+        stack: list[Node | Cut] = [self._root]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, Cut):
+                stack.append(item.right.inner)
+                stack.append(item.left.inner)
+            elif item.is_leaf:
+                yield item  # type: ignore[misc]
+            else:
+                stack.append(item.cuts.inner)  # type: ignore[union-attr]
 
     def nodes_at_level(self, level: int) -> list[Node]:
         """All nodes at a tree level, left to right (for hierarchical releases)."""
@@ -691,6 +731,9 @@ class RPlusTree:
         assert total == self._count, (
             f"record count mismatch: counted {total}, tracked {self._count}"
         )
+        live = {leaf.node_id for leaf in self.iter_leaves()}
+        stale = [node_id for node_id in self._overfull if node_id not in live]
+        assert not stale, f"detached leaves {stale} registered as over-full"
 
     def _check_node(self, node: Node) -> int:
         if node.is_leaf:
@@ -701,6 +744,9 @@ class RPlusTree:
                     f"leaf {node.node_id} holds {count} < k={self._k} records"
                 )
             if count > self._leaf_capacity:
+                assert self._overfull.get(node.node_id) is leaf, (
+                    f"over-full leaf {node.node_id} is not registered"
+                )
                 decision = self._policy.choose_split(
                     leaf.records, self._k, self._domain_extents
                 )
@@ -767,3 +813,22 @@ class RPlusTree:
             yield from item.records
         elif isinstance(item, InternalNode):
             yield from self._records_under(item.cuts)
+
+
+def _leaf_path(leaf: LeafNode) -> list[int]:
+    """A leaf's child positions from the root down: its left-to-right sort key.
+
+    Leaf depth is uniform, so comparing two paths as lists orders the
+    leaves exactly as :meth:`RPlusTree.iter_leaves` yields them.
+    """
+    path: list[int] = []
+    node: Node = leaf
+    parent = node.parent
+    while parent is not None:
+        for position, child in enumerate(parent.children()):
+            if child is node:
+                path.append(position)
+                break
+        node, parent = parent, parent.parent
+    path.reverse()
+    return path

@@ -57,6 +57,7 @@ DEFAULT_COUNTERS: tuple[str, ...] = (
     "rtree.dissolves",
     "rtree.reinserted_orphans",
     "rtree.mbr_recomputations",
+    "rtree.finish_bulk_leaves",
     "buffer_tree.pushes",
     "buffer_tree.pushed_records",
     "buffer_tree.flushes",

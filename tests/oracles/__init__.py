@@ -16,6 +16,9 @@ used as the oracle in place: :mod:`repro.index.hilbert`,
 :meth:`repro.geometry.box.Box.from_points`, and the ``struct`` codec
 behind ``RecordFileReader.iter_records``/``iter_points`` and
 ``RecordFileWriter.write_point``.
+
+The whole-tree walks the R+-tree replaced (``finish_bulk`` over every
+leaf, recursive ``iter_leaves``) live in :mod:`tests.oracles.rtree`.
 """
 
 from __future__ import annotations

@@ -18,6 +18,7 @@ from repro.dataset.record import Record
 from repro.geometry.box import Box
 from repro.index.rtree import RPlusTree
 from tests.conftest import random_records
+from tests.oracles.rtree import iter_leaves_recursive
 
 
 def fresh_tree(k: int = 3, **kwargs: object) -> RPlusTree:
@@ -292,6 +293,18 @@ class TestTraversal:
         assert leaves == tree.leaves()  # deterministic
         rids = [r.rid for leaf in leaves for r in leaf.records]
         assert sorted(rids) == sorted(r.rid for r in records)
+
+    @pytest.mark.parametrize("max_fanout", [2, 3, 8])
+    def test_leaf_order_matches_the_recursive_walk(self, max_fanout: int) -> None:
+        tree = fresh_tree(k=2, max_fanout=max_fanout)
+        for record in random_records(1_500, seed=15):
+            tree.insert(record)
+        assert tree.height >= 3
+        expected = list(iter_leaves_recursive(tree))
+        assert [leaf.node_id for leaf in tree.iter_leaves()] == [
+            leaf.node_id for leaf in expected
+        ]
+        assert tree.leaves() == expected
 
     def test_nodes_at_level(self) -> None:
         tree = fresh_tree(k=3)
